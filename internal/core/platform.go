@@ -143,7 +143,7 @@ func New(cfg Config) (*Platform, error) {
 				}
 			}
 		},
-		OnResize: func(c *cluster.Container) {}, // WRR reads CPU live
+		OnResize: p.resized,
 	}
 	ctl, err := controller.New(cfg.Controller, cl, hooks)
 	if err != nil {
@@ -188,6 +188,26 @@ func New(cfg Config) (*Platform, error) {
 		}
 	}
 	return p, nil
+}
+
+// resized invalidates the cached service capacity of the queue serving a
+// container whose CPU allocation changed. (WRR selection reads CPU live.)
+func (p *Platform) resized(c *cluster.Container) {
+	if q, ok := p.Queues[c.Function]; ok {
+		q.Resized()
+	}
+}
+
+// Resize changes a container's CPU allocation outside the controller —
+// an experiment deflating containers by hand — and keeps its dispatch
+// queue's cached service capacity in step, as the controller's resize
+// hook does for the resizes it makes.
+func (p *Platform) Resize(c *cluster.Container, newCPU int64) error {
+	if err := p.Cluster.Resize(c, newCPU); err != nil {
+		return err
+	}
+	p.resized(c)
+	return nil
 }
 
 // arrivalBatch is how many upcoming arrival times a stream pre-generates

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -275,4 +276,60 @@ func TestArrivalsCounted(t *testing.T) {
 	if fr.LambdaHat.Last() < 5 {
 		t.Errorf("controller's final rate estimate %.1f too low", fr.LambdaHat.Last())
 	}
+}
+
+// TestServiceCapacityFollowsResizes checks that every queue's cached
+// service capacity tracks each CPU change: controller deflations and
+// inflations reach it through the resize hook, and resizes made outside
+// the controller through Platform.Resize. The reference is a fresh sum
+// over the attached containers in ID order, compared bit for bit.
+func TestServiceCapacityFollowsResizes(t *testing.T) {
+	var fcs []FunctionConfig
+	for _, name := range []string{"squeezenet", "binaryalert"} {
+		spec, err := functions.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl, err := workload.NewSteps([]workload.Step{{Start: 0, Rate: 60}, {Start: 2 * time.Minute, Rate: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fcs = append(fcs, FunctionConfig{Spec: spec, Workload: wl, Prewarm: 1})
+	}
+	p, err := New(Config{
+		Cluster:    cluster.Config{Nodes: 1, CPUPerNode: 4000, MemPerNode: 16384},
+		Controller: controller.Config{Policy: controller.Deflation},
+		Seed:       3,
+		Functions:  fcs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func() {
+		for name, q := range p.Queues {
+			var want float64
+			for _, c := range p.Cluster.ContainersOf(name) {
+				if q.Has(c) {
+					want += q.Spec().RateAt(c.CPUFraction())
+				}
+			}
+			if got := q.ServiceCapacity(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s at %v: cached capacity %v, fresh sum %v", name, p.Engine.Now(), got, want)
+			}
+		}
+	}
+	p.Engine.Every(time.Second, check)
+	res, err := p.Run(4 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops := res.ControllerOps; ops.Deflations == 0 || ops.Inflations == 0 {
+		t.Fatalf("no resize to follow: %d deflations, %d inflations", ops.Deflations, ops.Inflations)
+	}
+	for _, c := range p.Cluster.ContainersOf("squeezenet") {
+		if err := p.Resize(c, c.CPUCurrent/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
 }

@@ -78,6 +78,7 @@ func (e *wrrEntry) complete() {
 	q := e.q
 	r := e.inflight
 	e.busy = false
+	q.busy--
 	e.inflight = nil
 	r.Finish = q.engine.Now()
 	q.Responses.AddDuration(r.Response())
@@ -96,6 +97,7 @@ func (e *wrrEntry) timeout() {
 	q := e.q
 	r := e.inflight
 	e.busy = false
+	q.busy--
 	e.inflight = nil
 	q.timedOut++
 	q.release(r)
@@ -119,6 +121,14 @@ type Queue struct {
 	// bit-identical.
 	order  []*wrrEntry
 	nextID uint64
+
+	// busy counts the entries in service, so InFlight and IdleContainers
+	// need no walk. capacity caches ServiceCapacity's sum; capacityStale
+	// marks it for recomputation after AddContainer, RemoveContainer or
+	// Resized change the pool or a container's CPU.
+	busy          int
+	capacity      float64
+	capacityStale bool
 
 	// Waits and Responses collect per-request timing; SLO tracks the
 	// waiting-time deadline the evaluation provisions against.
@@ -215,15 +225,7 @@ func (q *Queue) release(r *Request) {
 }
 
 // InFlight returns the number of requests currently in service.
-func (q *Queue) InFlight() int {
-	n := 0
-	for _, e := range q.order {
-		if e.busy {
-			n++
-		}
-	}
-	return n
-}
+func (q *Queue) InFlight() int { return q.busy }
 
 // Completed returns the number of requests finished.
 func (q *Queue) Completed() uint64 { return q.completed }
@@ -256,29 +258,31 @@ func (q *Queue) Containers() int { return len(q.entries) }
 // ServiceCapacity returns the aggregate service rate (req/s) of the
 // attached containers at their current (possibly deflated) CPU
 // allocations. The federation placement policy uses it to predict how
-// fast a site can drain its backlog.
+// fast a site can drain its backlog. The sum is cached and recomputed only
+// after the pool or a container's CPU changed (see Resized).
 //
 // it always accumulates in container-ID order.
 //
 //lass:bitexact the sum feeds placement predictions compared across sites;
 func (q *Queue) ServiceCapacity() float64 {
-	var total float64
-	for _, e := range q.order {
-		total += q.spec.RateAt(e.c.CPUFraction())
+	if q.capacityStale {
+		var total float64
+		for _, e := range q.order {
+			total += q.spec.RateAt(e.c.CPUFraction())
+		}
+		q.capacity, q.capacityStale = total, false
 	}
-	return total
+	return q.capacity
 }
 
+// Resized tells the queue that an attached container's CPU allocation
+// changed, invalidating the cached ServiceCapacity. The platform wires the
+// controller's resize hook to it; any resize made outside the controller
+// must call it too, or ServiceCapacity keeps reporting the old sum.
+func (q *Queue) Resized() { q.capacityStale = true }
+
 // IdleContainers returns the number of attached, non-busy containers.
-func (q *Queue) IdleContainers() int {
-	n := 0
-	for _, e := range q.order {
-		if !e.busy {
-			n++
-		}
-	}
-	return n
-}
+func (q *Queue) IdleContainers() int { return len(q.order) - q.busy }
 
 // AddContainer attaches a servable container to the load balancer.
 func (q *Queue) AddContainer(c *cluster.Container) error {
@@ -301,6 +305,7 @@ func (q *Queue) AddContainer(c *cluster.Container) error {
 	q.order = append(q.order, nil)
 	copy(q.order[at+1:], q.order[at:])
 	q.order[at] = e
+	q.capacityStale = true
 	q.pump()
 	return nil
 }
@@ -317,7 +322,9 @@ func (q *Queue) RemoveContainer(c *cluster.Container) error {
 	delete(q.entries, c.ID)
 	at := sort.Search(len(q.order), func(i int) bool { return q.order[i].c.ID >= c.ID })
 	q.order = append(q.order[:at], q.order[at+1:]...)
-	if e.busy && e.inflight != nil {
+	q.capacityStale = true
+	if e.busy {
+		q.busy--
 		e.done.Cancel()
 		r := e.inflight
 		r.Requeues++
@@ -438,6 +445,7 @@ func (q *Queue) start(e *wrrEntry, r *Request) {
 	e.frac = e.c.CPUFraction()
 	e.service = q.spec.SampleServiceTime(q.rng, e.frac)
 	e.busy = true
+	q.busy++
 	e.inflight = r
 	if q.TimeLimit > 0 && e.service > q.TimeLimit {
 		// The platform kills the execution at the hard limit (§2.1); the

@@ -396,3 +396,92 @@ func TestServiceCapacitySumsAttachedRates(t *testing.T) {
 		t.Errorf("capacity %v want %v", got, want)
 	}
 }
+
+// TestCachedAggregatesMatchWalks drives a queue through seeded random
+// attach, detach, reattach, resize, arrival and engine-advance steps (the
+// last firing completions and time-limit kills) and checks after every
+// step that the cached ServiceCapacity, InFlight and IdleContainers equal
+// fresh walks over the attached containers, the capacity bit for bit.
+func TestCachedAggregatesMatchWalks(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		engine, cl, q := testSetup(t)
+		q.TimeLimit = 150 * time.Millisecond
+		rng := xrand.New(seed)
+		var attached, detached []*cluster.Container
+		var resizes int
+		for step := 0; step < 3000; step++ {
+			switch rng.Intn(8) {
+			case 0:
+				c, err := cl.Place(q.Spec().Name, int64(200+100*rng.Intn(9)), 256)
+				if err != nil {
+					break
+				}
+				if err := cl.MarkRunning(c); err != nil {
+					t.Fatal(err)
+				}
+				if err := q.AddContainer(c); err != nil {
+					t.Fatal(err)
+				}
+				attached = append(attached, c)
+			case 1:
+				if len(attached) == 0 {
+					break
+				}
+				i := rng.Intn(len(attached))
+				c := attached[i]
+				if err := q.RemoveContainer(c); err != nil {
+					t.Fatal(err)
+				}
+				attached = append(attached[:i], attached[i+1:]...)
+				detached = append(detached, c)
+			case 2:
+				// Reattach a detached container: its ID is below newer
+				// ones, so this exercises the sorted insert.
+				if len(detached) == 0 {
+					break
+				}
+				i := rng.Intn(len(detached))
+				c := detached[i]
+				if err := q.AddContainer(c); err != nil {
+					t.Fatal(err)
+				}
+				detached = append(detached[:i], detached[i+1:]...)
+				attached = append(attached, c)
+			case 3:
+				if len(attached) == 0 {
+					break
+				}
+				c := attached[rng.Intn(len(attached))]
+				if cl.Resize(c, int64(100+100*rng.Intn(int(c.CPUStandard/100)))) == nil {
+					q.Resized()
+					resizes++
+				}
+			case 4, 5:
+				q.Arrive()
+			default:
+				engine.RunUntil(engine.Now() + time.Duration(rng.Intn(120))*time.Millisecond)
+			}
+			var capacity float64
+			var busy, idle int
+			for _, e := range q.order {
+				capacity += q.spec.RateAt(e.c.CPUFraction())
+				if e.busy {
+					busy++
+				} else {
+					idle++
+				}
+			}
+			if got := q.ServiceCapacity(); math.Float64bits(got) != math.Float64bits(capacity) {
+				t.Fatalf("seed %d step %d: cached capacity %v, walk %v", seed, step, got, capacity)
+			}
+			if q.InFlight() != busy || q.IdleContainers() != idle {
+				t.Fatalf("seed %d step %d: in flight %d idle %d, walk %d and %d",
+					seed, step, q.InFlight(), q.IdleContainers(), busy, idle)
+			}
+		}
+		if resizes == 0 || q.Completed() == 0 || q.TimedOut() == 0 || q.Requeued() == 0 {
+			t.Errorf("seed %d: vacuous run (%d resizes, %d completed, %d timed out, %d requeued)",
+				seed, resizes, q.Completed(), q.TimedOut(), q.Requeued())
+		}
+	}
+}

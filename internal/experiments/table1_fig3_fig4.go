@@ -167,7 +167,7 @@ func Fig4(opt Options) (*Table, error) {
 					// Random deflation within the τ = 30% envelope.
 					frac := rng.Uniform(0.70, 0.95)
 					newCPU := int64(frac * float64(target.CPUStandard))
-					_ = p.Cluster.Resize(target, newCPU)
+					_ = p.Resize(target, newCPU)
 				}
 			})
 			res, err := p.Run(duration)

@@ -9,6 +9,7 @@ import (
 	"lass/internal/core"
 	"lass/internal/functions"
 	"lass/internal/workload"
+	"lass/internal/xrand"
 )
 
 // detSpec is a deterministic-service-time function (SCV 0), so cloud
@@ -339,5 +340,142 @@ func TestCloudConcurrencyCapCountsQueueWait(t *testing.T) {
 	cp95 := cres.Sites[0].Responses.Quantile(0.95)
 	if cp95 <= up95 {
 		t.Errorf("capped P95 %.3fs not above uncapped %.3fs: queue wait not in response time", cp95, up95)
+	}
+}
+
+// refCloudPool is the linear-scan cloud pool the indexed cloudPool
+// replaced, frozen as the reference: it scans every instance on every
+// call and never relies on the arrival times being monotone.
+type refCloudPool struct {
+	instances []*cloudInstance
+}
+
+func (p *refCloudPool) hasWarm(at time.Duration) bool {
+	for _, in := range p.instances {
+		if in.busyUntil <= at && in.warmUntil >= at {
+			return true
+		}
+	}
+	return false
+}
+
+func (p *refCloudPool) acquire(at, run, coldStart, warmWindow time.Duration, maxConc int) (wait, cold time.Duration) {
+	live := p.instances[:0]
+	for _, in := range p.instances {
+		if in.warmUntil >= at {
+			live = append(live, in)
+		}
+	}
+	p.instances = live
+
+	var best *cloudInstance
+	for _, in := range p.instances {
+		if in.busyUntil > at {
+			continue
+		}
+		if best == nil || in.warmUntil > best.warmUntil {
+			best = in
+		}
+	}
+	if best == nil {
+		if maxConc > 0 && len(p.instances) >= maxConc {
+			soonest := p.instances[0]
+			for _, in := range p.instances[1:] {
+				if in.busyUntil < soonest.busyUntil {
+					soonest = in
+				}
+			}
+			wait = soonest.busyUntil - at
+			soonest.busyUntil += run
+			soonest.warmUntil = soonest.busyUntil + warmWindow
+			return wait, 0
+		}
+		cold = coldStart
+		best = &cloudInstance{}
+		p.instances = append(p.instances, best)
+	}
+	best.busyUntil = at + cold + run
+	best.warmUntil = best.busyUntil + warmWindow
+	return 0, cold
+}
+
+func (p *refCloudPool) predictWait(at time.Duration, maxConc int) time.Duration {
+	if maxConc <= 0 {
+		return 0
+	}
+	live := 0
+	var soonest time.Duration = -1
+	for _, in := range p.instances {
+		if in.warmUntil < at {
+			continue
+		}
+		live++
+		if in.busyUntil <= at {
+			return 0
+		}
+		if soonest < 0 || in.busyUntil < soonest {
+			soonest = in.busyUntil
+		}
+	}
+	if live < maxConc {
+		return 0
+	}
+	return soonest - at
+}
+
+// TestCloudPoolMatchesLinearScan drives the indexed pool and the frozen
+// linear-scan reference through the same seeded call sequences — acquire,
+// hasWarm and predictWait interleaved at non-decreasing arrival times, as
+// the federation issues them — and demands identical answers. Service
+// times come from a small set and arrivals often repeat, so busyUntil
+// ties are common; warm windows of zero, a few service times and an hour
+// cover expiry from every side.
+func TestCloudPoolMatchesLinearScan(t *testing.T) {
+	runs := []time.Duration{0, 10 * time.Millisecond, 30 * time.Millisecond, 100 * time.Millisecond}
+	steps := []time.Duration{0, 0, time.Millisecond, 10 * time.Millisecond, 40 * time.Millisecond, 2 * time.Second}
+	for _, maxConc := range []int{0, 1, 3} {
+		for wi, warm := range []time.Duration{0, 50 * time.Millisecond, time.Hour} {
+			for seed := uint64(1); seed <= 20; seed++ {
+				rng := xrand.New(seed<<8 | uint64(maxConc)<<4 | uint64(wi))
+				coldStart := time.Duration(rng.Intn(3)) * 20 * time.Millisecond
+				got, ref := &cloudPool{}, &refCloudPool{}
+				var at time.Duration
+				var acquires, waits, colds int
+				for step := 0; step < 2000; step++ {
+					at += steps[rng.Intn(len(steps))]
+					switch rng.Intn(3) {
+					case 0:
+						run := runs[rng.Intn(len(runs))]
+						w, c := got.acquire(at, run, coldStart, warm, maxConc)
+						rw, rc := ref.acquire(at, run, coldStart, warm, maxConc)
+						if w != rw || c != rc {
+							t.Fatalf("cap %d warm %v seed %d step %d: acquire(%v, %v) = (%v, %v), reference (%v, %v)",
+								maxConc, warm, seed, step, at, run, w, c, rw, rc)
+						}
+						acquires++
+						if w > 0 {
+							waits++
+						}
+						if c > 0 {
+							colds++
+						}
+					case 1:
+						if g, r := got.hasWarm(at), ref.hasWarm(at); g != r {
+							t.Fatalf("cap %d warm %v seed %d step %d: hasWarm(%v) = %v, reference %v",
+								maxConc, warm, seed, step, at, g, r)
+						}
+					default:
+						if g, r := got.predictWait(at, maxConc), ref.predictWait(at, maxConc); g != r {
+							t.Fatalf("cap %d warm %v seed %d step %d: predictWait(%v) = %v, reference %v",
+								maxConc, warm, seed, step, at, g, r)
+						}
+					}
+				}
+				if acquires == 0 || (coldStart > 0 && colds == 0) || (maxConc > 0 && waits == 0) {
+					t.Errorf("cap %d warm %v seed %d: vacuous sequence (%d acquires, %d cold, %d queued)",
+						maxConc, warm, seed, acquires, colds, waits)
+				}
+			}
+		}
 	}
 }

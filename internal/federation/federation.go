@@ -530,8 +530,8 @@ type Site struct {
 	Reclaimed uint64
 	Preempted uint64
 
-	peers       []*Site // other sites, ascending RTT, ties by index
-	borrowed    int64   // over-quota millicores in the last landed grant set
+	peers       []int // other sites' indices, ascending RTT, ties by index
+	borrowed    int64 // over-quota millicores in the last landed grant set
 	observeDone func(*dispatch.Request)
 }
 
@@ -766,21 +766,22 @@ func (f *Federation) siteDark(i int, t time.Duration) bool {
 	return f.faults != nil && f.faults.SiteDown(i, t)
 }
 
-// peersByRTT returns the other sites ordered by ascending RTT from s,
-// breaking ties by site index, so "nearest peer" scans are deterministic.
-func (f *Federation) peersByRTT(s *Site) []*Site {
-	peers := make([]*Site, 0, len(f.Sites)-1)
+// peersByRTT returns the other sites' indices ordered by ascending RTT
+// from s, breaking ties by site index, so "nearest peer" scans are
+// deterministic.
+func (f *Federation) peersByRTT(s *Site) []int {
+	peers := make([]int, 0, len(f.Sites)-1)
 	for _, p := range f.Sites {
 		if p != s {
-			peers = append(peers, p)
+			peers = append(peers, p.Index)
 		}
 	}
 	sort.SliceStable(peers, func(i, j int) bool {
-		ri, rj := f.rtt(s.Index, peers[i].Index), f.rtt(s.Index, peers[j].Index)
+		ri, rj := f.rtt(s.Index, peers[i]), f.rtt(s.Index, peers[j])
 		if ri != rj {
 			return ri < rj
 		}
-		return peers[i].Index < peers[j].Index
+		return peers[i] < peers[j]
 	})
 	return peers
 }
@@ -856,13 +857,13 @@ func (f *Federation) decide(s *Site, q *dispatch.Queue) Decision {
 			d = Local()
 		} else if _, ok := f.Sites[d.Site].Platform.Queues[q.Spec().Name]; !ok {
 			d = Local()
-		} else if !f.linkUp(s.Index, d.Site, f.Engine.Now()) {
+		} else if !ctx.Reachable(d.Site) {
 			// A dark link means the peer is unreachable, not merely slow:
 			// the request cannot be shipped, whatever the policy thinks.
 			d = Local()
 		}
 	}
-	if d.Kind == OffloadCloud && f.siteDark(s.Index, f.Engine.Now()) {
+	if d.Kind == OffloadCloud && ctx.originDark() {
 		// A network-dark site has no cloud uplink either; the request
 		// stays (and, if sheddable, is rejected below like any other
 		// unplaceable overload).
@@ -960,7 +961,7 @@ func (f *Federation) selectPeer(s *Site, fn string) *Site {
 		if j >= i {
 			j++
 		}
-		a, b := s.peers[i], s.peers[j]
+		a, b := f.Sites[s.peers[i]], f.Sites[s.peers[j]]
 		if b.Platform.Controller.Headroom() > a.Platform.Controller.Headroom() ||
 			(b.Platform.Controller.Headroom() == a.Platform.Controller.Headroom() && j < i) {
 			a, b = b, a
@@ -973,8 +974,8 @@ func (f *Federation) selectPeer(s *Site, fn string) *Site {
 		}
 		return nil
 	}
-	for _, p := range s.peers {
-		if f.acceptsFrom(s, p, fn) {
+	for _, i := range s.peers {
+		if p := f.Sites[i]; f.acceptsFrom(s, p, fn) {
 			return p
 		}
 	}

@@ -5,6 +5,7 @@ package federation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -104,6 +105,13 @@ type PlacementContext struct {
 	origin    *Site
 	q         *dispatch.Queue
 	sheddable bool
+
+	// dark memoizes whether the origin is network-dark at this decision's
+	// instant once darkKnown is set, so checking every peer's reachability
+	// asks the fault view about the origin at most once. Fault
+	// realizations are pure functions of time, so the answer cannot change
+	// within a decision, and asking fewer times changes no answer.
+	dark, darkKnown bool
 }
 
 // Function returns the request's function name.
@@ -160,7 +168,7 @@ func (ctx *PlacementContext) Accepts(site int) bool {
 	if site < 0 || site >= len(ctx.f.Sites) {
 		return false
 	}
-	return ctx.f.acceptsFrom(ctx.origin, ctx.f.Sites[site], ctx.Function())
+	return ctx.Reachable(site) && ctx.f.accepts(ctx.f.Sites[site], ctx.Function())
 }
 
 // Reachable reports whether the origin can currently reach the site: no
@@ -172,7 +180,25 @@ func (ctx *PlacementContext) Reachable(site int) bool {
 	if site < 0 || site >= len(ctx.f.Sites) {
 		return false
 	}
-	return ctx.f.linkUp(ctx.origin.Index, site, ctx.f.Engine.Now())
+	f := ctx.f
+	if f.faults == nil || site == ctx.origin.Index {
+		return true
+	}
+	if ctx.originDark() {
+		return false
+	}
+	now := f.Engine.Now()
+	return !f.faults.SiteDown(site, now) && !f.faults.LinkDown(ctx.origin.Index, site, now)
+}
+
+// originDark reports whether the origin is network-dark now, asking the
+// fault view at most once per decision.
+func (ctx *PlacementContext) originDark() bool {
+	if !ctx.darkKnown {
+		ctx.dark = ctx.f.siteDark(ctx.origin.Index, ctx.f.Engine.Now())
+		ctx.darkKnown = true
+	}
+	return ctx.dark
 }
 
 // SelectPeer runs the configured peer-selection strategy
@@ -190,14 +216,10 @@ func (ctx *PlacementContext) SelectPeer() int {
 
 // PeersByRTT returns the other sites' indices in ascending-RTT order from
 // the origin (ties broken by index) — the deterministic scan order the
-// built-in policies iterate candidates in.
-func (ctx *PlacementContext) PeersByRTT() []int {
-	out := make([]int, len(ctx.origin.peers))
-	for i, p := range ctx.origin.peers {
-		out[i] = p.Index
-	}
-	return out
-}
+// built-in policies iterate candidates in. Each call returns a fresh copy
+// the caller may keep or modify; the built-in policies range over the
+// federation's precomputed order instead, so their scans allocate nothing.
+func (ctx *PlacementContext) PeersByRTT() []int { return slices.Clone(ctx.origin.peers) }
 
 // RTT returns the one-way network latency from site i to site j, read from
 // the topology matrix.
@@ -532,7 +554,7 @@ func placePredictive(ctx *PlacementContext, predict func(site int) float64) Deci
 		// backlog+RTT, cloud); reject when even the best prediction misses
 		// the SLO.
 		best, bestResp := -1, math.Inf(1)
-		for _, p := range ctx.PeersByRTT() {
+		for _, p := range ctx.origin.peers {
 			if resp := predict(p); resp < bestResp {
 				best, bestResp = p, resp
 			}
@@ -556,7 +578,7 @@ func placePredictive(ctx *PlacementContext, predict func(site int) float64) Deci
 	// offloading must actually help. Peer predictions pay both network
 	// legs, which may differ under an asymmetric topology.
 	best, bestResp := -1, local
-	for _, p := range ctx.PeersByRTT() {
+	for _, p := range ctx.origin.peers {
 		if resp := predict(p); resp < bestResp {
 			best, bestResp = p, resp
 		}
@@ -646,7 +668,7 @@ func (costBoundedPlacer) Place(ctx *PlacementContext) Decision {
 	if !ctx.Sheddable() {
 		cands = append(cands, candidate{Local(), 0, ctx.PredictResponse(ctx.Origin())})
 	}
-	for _, p := range ctx.PeersByRTT() {
+	for _, p := range ctx.origin.peers {
 		cands = append(cands, candidate{ToSite(p), 0, ctx.PredictResponse(p)})
 	}
 	// The cloud is always a candidate: the selection loop below filters by
@@ -714,7 +736,7 @@ func (metroAffinePlacer) Place(ctx *PlacementContext) Decision {
 	// borrowable headroom.
 	best, bestResp := -1, math.Inf(1)
 	metro, metroResp := -1, math.Inf(1)
-	for _, p := range ctx.PeersByRTT() {
+	for _, p := range ctx.origin.peers {
 		resp := ctx.PredictResponse(p)
 		if resp < bestResp {
 			best, bestResp = p, resp

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"lass/internal/allocation"
 	"lass/internal/azure"
+	"lass/internal/chaos"
 	"lass/internal/cluster"
 	"lass/internal/controller"
 	"lass/internal/core"
@@ -50,7 +52,8 @@ func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
 			deadline := f.cfg.ResponseSLO.Seconds()
 			var best *Site
 			bestResp := math.Inf(1)
-			for _, p := range s.peers {
+			for _, i := range s.peers {
+				p := f.Sites[i]
 				legs := f.rtt(s.Index, p.Index) + f.rtt(p.Index, s.Index)
 				if resp := f.predictResponse(p, fn, legs); resp < bestResp {
 					best, bestResp = p, resp
@@ -89,7 +92,8 @@ func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
 		}
 		var best *Site
 		bestResp := local
-		for _, p := range s.peers {
+		for _, i := range s.peers {
+			p := f.Sites[i]
 			legs := f.rtt(s.Index, p.Index) + f.rtt(p.Index, s.Index)
 			if resp := f.predictResponse(p, fn, legs); resp < bestResp {
 				best, bestResp = p, resp
@@ -515,5 +519,63 @@ func TestBuiltinPlacerNamesGenerated(t *testing.T) {
 	if !reflect.DeepEqual(names[:len(BuiltinPlacerNames)], BuiltinPlacerNames) {
 		t.Errorf("generated BuiltinPlacerNames %v stale vs registry %v — run go generate ./internal/federation",
 			BuiltinPlacerNames, names[:len(BuiltinPlacerNames)])
+	}
+}
+
+// TestWarmDecideAllocatesNothing pins the per-request placement path at
+// zero heap allocations: after a warm-up run, one decide at an overloaded
+// origin — every peer predicted, a capped and warm cloud pool consulted,
+// reachability checked against a live fault view — must allocate nothing
+// under the hierarchy-aware and the model-driven placers.
+func TestWarmDecideAllocatesNothing(t *testing.T) {
+	metro := func(id string, sites ...string) *allocation.Group {
+		return &allocation.Group{ID: "r-" + id, Children: []*allocation.Group{{ID: id, Sites: sites}}}
+	}
+	hier := &allocation.Hierarchy{Root: &allocation.Group{ID: "root", Children: []*allocation.Group{
+		metro("m0", "edge-0", "edge-1"), metro("m1", "edge-2", "edge-3"),
+	}}}
+	faults, err := chaos.New(chaos.Config{Sites: 4, Faults: []chaos.Fault{{
+		Kind: chaos.FaultLink, From: 0, To: 3, Windows: []Window{{Start: time.Hour, End: 2 * time.Hour}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"metro-affine", "model-driven"} {
+		placer, err := PlacerByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed, err := New(Config{
+			Sites: []core.Config{
+				staticSite(t, "squeezenet", 120, 11, tinyCluster()),
+				staticSite(t, "squeezenet", 5, 22, cluster.PaperCluster()),
+				staticSite(t, "squeezenet", 5, 33, cluster.PaperCluster()),
+				staticSite(t, "squeezenet", 5, 44, cluster.PaperCluster()),
+			},
+			Placer:              placer,
+			GlobalFairShare:     true,
+			Hierarchy:           hier,
+			Faults:              faults,
+			CloudMaxConcurrency: 4,
+			Seed:                5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fed.Run(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		s := fed.Sites[0]
+		q := s.Platform.Queues["squeezenet"]
+		if fed.cloudPools["squeezenet"] == nil {
+			t.Fatalf("%s: the warm-up never reached the cloud", name)
+		}
+		ctx := PlacementContext{f: fed, origin: s, q: q}
+		if ctx.PredictResponse(0) <= ctx.ResponseSLO().Seconds() {
+			t.Fatalf("%s: origin predicted to meet the SLO, so no peer would be scanned", name)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { fed.decide(s, q) }); allocs != 0 {
+			t.Errorf("%s: warm decide allocates %.1f times, want 0", name, allocs)
+		}
 	}
 }
