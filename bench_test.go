@@ -12,6 +12,7 @@ package lass
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -402,19 +403,48 @@ func BenchmarkGlobalAllocator(b *testing.B) {
 }
 
 // BenchmarkEstimatorRecordAndRate measures the per-arrival estimator cost
-// plus a rate read every 64 arrivals.
+// plus a rate read every 64 arrivals, and fails if that operation
+// allocates at all: the estimator runs on every arrival and in every
+// control epoch, so its floor is an exact count of zero heap objects, not
+// a wall-clock rate. CI runs this with -benchtime=1x as part of the perf
+// smoke.
 func BenchmarkEstimatorRecordAndRate(b *testing.B) {
 	b.ReportAllocs()
-	d, err := controller.NewDualWindow(controller.DefaultDualWindow())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
+	op := func(d *controller.DualWindow, i int) {
 		now := time.Duration(i) * time.Millisecond
 		d.RecordArrival(now)
 		if i%64 == 0 {
 			d.Rate(now)
 		}
+	}
+	// The guard runs a fixed 100k ops whatever b.N is (CI runs 1x), so the
+	// ring wraps and ~1.6k rate reads happen. It counts every heap object
+	// rather than testing.AllocsPerRun's truncated mean, so an allocation
+	// on the every-64th rate read still fails it.
+	guard, err := controller.NewDualWindow(controller.DefaultDualWindow())
+	if err != nil {
+		b.Fatal(err)
+	}
+	// One P, as testing.AllocsPerRun uses, keeps other goroutines'
+	// allocations out of the count.
+	procs := runtime.GOMAXPROCS(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100_000; i++ {
+		op(guard, i)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.GOMAXPROCS(procs)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		b.Fatalf("estimator allocated %d heap objects over 100000 record+rate ops; it must allocate none", n)
+	}
+	d, err := controller.NewDualWindow(controller.DefaultDualWindow())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(d, i)
 	}
 }
 

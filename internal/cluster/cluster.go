@@ -11,6 +11,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -100,7 +101,7 @@ type Node struct {
 
 	cpuUsed    int64
 	memUsed    int64
-	containers map[ContainerID]*Container
+	containers []*Container // live containers in ID order
 }
 
 // CPUFree returns unallocated CPU millicores on the node.
@@ -117,12 +118,7 @@ func (n *Node) MemUsed() int64 { return n.memUsed }
 
 // Containers returns the live containers on the node in ID order.
 func (n *Node) Containers() []*Container {
-	out := make([]*Container, 0, len(n.containers))
-	for _, c := range n.containers {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append(make([]*Container, 0, len(n.containers)), n.containers...)
 }
 
 // Fits reports whether a container of the given size can be placed.
@@ -157,12 +153,17 @@ func (p PlacementPolicy) String() string {
 }
 
 // Cluster is a set of nodes with a placement policy.
+//
+// Container IDs come from the monotone nextID, so the per-function and
+// per-node indexes stay in ID order by appending on placement; Terminate
+// finds a container by binary search. Readers walk them in that order
+// with no sorting.
 type Cluster struct {
 	site   string
 	nodes  []*Node
 	policy PlacementPolicy
 	nextID ContainerID
-	byFunc map[string]map[ContainerID]*Container
+	byFunc map[string][]*Container // live containers per function, in ID order
 }
 
 // Config describes a cluster to build.
@@ -191,13 +192,12 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.CPUPerNode <= 0 || cfg.MemPerNode <= 0 {
 		return nil, fmt.Errorf("cluster: non-positive node capacity (%d mC, %d MiB)", cfg.CPUPerNode, cfg.MemPerNode)
 	}
-	c := &Cluster{site: cfg.Site, policy: cfg.Policy, byFunc: make(map[string]map[ContainerID]*Container)}
+	c := &Cluster{site: cfg.Site, policy: cfg.Policy, byFunc: make(map[string][]*Container)}
 	for i := 0; i < cfg.Nodes; i++ {
 		c.nodes = append(c.nodes, &Node{
 			ID:          i,
 			CPUCapacity: cfg.CPUPerNode,
 			MemCapacity: cfg.MemPerNode,
-			containers:  make(map[ContainerID]*Container),
 		})
 	}
 	return c, nil
@@ -311,13 +311,7 @@ func (cl *Cluster) Place(function string, cpu, mem int64) (*Container, error) {
 	}
 	n.cpuUsed += cpu
 	n.memUsed += mem
-	n.containers[c.ID] = c
-	fn := cl.byFunc[function]
-	if fn == nil {
-		fn = make(map[ContainerID]*Container)
-		cl.byFunc[function] = fn
-	}
-	fn[c.ID] = c
+	cl.index(c)
 	return c, nil
 }
 
@@ -344,14 +338,27 @@ func (cl *Cluster) PlaceDeflated(function string, cpuStandard, cpuCurrent, mem i
 	}
 	n.cpuUsed += cpuCurrent
 	n.memUsed += mem
-	n.containers[c.ID] = c
-	fn := cl.byFunc[function]
-	if fn == nil {
-		fn = make(map[ContainerID]*Container)
-		cl.byFunc[function] = fn
-	}
-	fn[c.ID] = c
+	cl.index(c)
 	return c, nil
+}
+
+// index appends a just-placed container to its node's and its function's
+// indexes. It holds the newest ID, so both stay in ID order.
+func (cl *Cluster) index(c *Container) {
+	c.node.containers = append(c.node.containers, c)
+	cl.byFunc[c.Function] = append(cl.byFunc[c.Function], c)
+}
+
+// unindex removes the container with the given ID from an ID-ordered
+// index, shifting the later entries down in place.
+func unindex(s []*Container, id ContainerID) []*Container {
+	i, found := slices.BinarySearchFunc(s, id, func(c *Container, id ContainerID) int {
+		return cmp.Compare(c.ID, id)
+	})
+	if !found {
+		return s
+	}
+	return slices.Delete(s, i, i+1)
 }
 
 // MarkRunning transitions a Starting container to Running (cold start
@@ -391,8 +398,8 @@ func (cl *Cluster) Terminate(c *Container) error {
 	n := c.node
 	n.cpuUsed -= c.CPUCurrent
 	n.memUsed -= c.MemoryMiB
-	delete(n.containers, c.ID)
-	delete(cl.byFunc[c.Function], c.ID)
+	n.containers = unindex(n.containers, c.ID)
+	cl.byFunc[c.Function] = unindex(cl.byFunc[c.Function], c.ID)
 	c.state = Terminated
 	c.node = nil
 	return nil
@@ -427,31 +434,16 @@ func (cl *Cluster) ContainersOf(function string) []*Container {
 
 // AppendContainersOf appends the live containers of a function to dst in
 // ID order and returns the extended slice, allocating only when dst lacks
-// capacity. Hot-path callers pass a reused scratch buffer (dst[:0]) to
-// keep the per-epoch reconcile loops allocation-free; the appended run is
-// sorted on its own, so dst may already hold unrelated entries.
+// capacity. The index is kept in ID order, so this is one copy with no
+// sort. Hot-path callers pass a reused scratch buffer (dst[:0]) to keep
+// the per-epoch reconcile loops allocation-free; dst may already hold
+// unrelated entries.
 func (cl *Cluster) AppendContainersOf(function string, dst []*Container) []*Container {
-	start := len(dst)
-	for _, c := range cl.byFunc[function] {
-		dst = append(dst, c)
-	}
-	tail := dst[start:]
-	slices.SortFunc(tail, func(a, b *Container) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-	return dst
+	return append(dst, cl.byFunc[function]...)
 }
 
-// EachContainerOf calls f for every live container of a function without
-// allocating. Iteration order is unspecified (it walks the internal map),
-// so callers must fold order-independent aggregates — anything
-// order-sensitive should use ContainersOf, which sorts by ID.
+// EachContainerOf calls f for every live container of a function, in ID
+// order, without allocating. f must not place or terminate containers.
 func (cl *Cluster) EachContainerOf(function string, f func(*Container)) {
 	for _, c := range cl.byFunc[function] {
 		f(c)
@@ -470,8 +462,8 @@ func (cl *Cluster) CPUOf(function string) int64 {
 // Functions returns the names of functions with live containers, sorted.
 func (cl *Cluster) Functions() []string {
 	out := make([]string, 0, len(cl.byFunc))
-	for f, m := range cl.byFunc {
-		if len(m) > 0 {
+	for f, cs := range cl.byFunc {
+		if len(cs) > 0 {
 			out = append(out, f)
 		}
 	}

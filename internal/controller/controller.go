@@ -228,7 +228,7 @@ type Controller struct {
 	cluster  *cluster.Cluster
 	hooks    Hooks
 	funcs    map[string]*Function
-	order    []string // registration order, for deterministic iteration
+	fns      []*Function // registration order, for deterministic iteration
 	users    map[string]float64
 	drained  map[cluster.ContainerID]time.Duration // when marked draining
 	stats    Stats
@@ -353,7 +353,7 @@ func (ctl *Controller) Register(spec functions.Spec, user string, weight float64
 		learner:   learner,
 	}
 	ctl.funcs[spec.Name] = f
-	ctl.order = append(ctl.order, spec.Name)
+	ctl.fns = append(ctl.fns, f)
 	return f, nil
 }
 
@@ -365,7 +365,11 @@ func (ctl *Controller) Function(name string) (*Function, bool) {
 
 // Functions returns registered function names in registration order.
 func (ctl *Controller) Functions() []string {
-	return append([]string(nil), ctl.order...)
+	out := make([]string, len(ctl.fns))
+	for i, f := range ctl.fns {
+		out[i] = f.Spec.Name
+	}
+	return out
 }
 
 // RecordArrival feeds the estimator; the data path calls it for every
@@ -516,8 +520,7 @@ type FunctionDemand struct {
 // the report later copy it (the federation's epoch snapshot does).
 func (ctl *Controller) Demands() []FunctionDemand {
 	out := ctl.demandsOut[:0]
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
+	for _, f := range ctl.fns {
 		uw := 1.0
 		if f.User != "" {
 			if w := ctl.users[f.User]; w > 0 {
@@ -529,12 +532,12 @@ func (ctl *Controller) Demands() []FunctionDemand {
 			desired = min
 		}
 		if ctl.stats.Steps == 0 {
-			if live := liveCPU(ctl.liveContainers(name)); desired < live {
+			if live := liveCPU(ctl.liveContainers(f.Spec.Name)); desired < live {
 				desired = live
 			}
 		}
 		out = append(out, FunctionDemand{
-			Name:       name,
+			Name:       f.Spec.Name,
 			User:       f.User,
 			Weight:     f.Weight,
 			UserWeight: uw,
@@ -643,8 +646,7 @@ func (ctl *Controller) estimate() ([]fairshare.Demand, error) {
 	ctl.stats.Steps++
 
 	// 1. Rate estimates.
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
+	for _, f := range ctl.fns {
 		raw, burst := f.estimator.Rate(now)
 		if ctl.cfg.NoBurstDetection {
 			burst = false
@@ -675,15 +677,14 @@ func (ctl *Controller) estimate() ([]fairshare.Demand, error) {
 
 	// 2. Model-driven desired capacity.
 	demands := ctl.demandScratch[:0]
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
+	for _, f := range ctl.fns {
 		want, err := ctl.desiredContainers(f, f.LambdaHat)
 		if err != nil {
-			return nil, fmt.Errorf("controller: sizing %s: %w", name, err)
+			return nil, fmt.Errorf("controller: sizing %s: %w", f.Spec.Name, err)
 		}
 		f.Desired = want
 		demands = append(demands, fairshare.Demand{
-			ID:      name,
+			ID:      f.Spec.Name,
 			Weight:  f.Weight,
 			Desired: int64(want) * f.Spec.CPUMillis,
 		})
@@ -709,8 +710,7 @@ func (ctl *Controller) enforceLocal(demands []fairshare.Demand) error {
 	ctl.headroom = capacity - totalDesired
 	if totalDesired <= capacity {
 		// No resource pressure: grant everyone their desire (§3.3).
-		for _, name := range ctl.order {
-			f := ctl.funcs[name]
+		for _, f := range ctl.fns {
 			if err := ctl.reconcileNormal(f, f.Desired); err != nil {
 				return err
 			}
@@ -726,15 +726,13 @@ func (ctl *Controller) enforceLocal(demands []fairshare.Demand) error {
 		return err
 	}
 	// Reclaim first (free capacity), then grow into the freed space.
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
-		if err := ctl.shrinkTo(f, grants[name]); err != nil {
+	for _, f := range ctl.fns {
+		if err := ctl.shrinkTo(f, grants[f.Spec.Name]); err != nil {
 			return err
 		}
 	}
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
-		if err := ctl.growTo(f, grants[name]); err != nil {
+	for _, f := range ctl.fns {
+		if err := ctl.growTo(f, grants[f.Spec.Name]); err != nil {
 			return err
 		}
 	}
@@ -824,25 +822,23 @@ func (ctl *Controller) enforceGrants(demands []fairshare.Demand) error {
 		ctl.stats.Overloads++
 	}
 	// Reclaim grant-bound pools first (freeing capacity), then grow.
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
-		if targets[name] < int64(f.Desired)*f.Spec.CPUMillis {
-			if err := ctl.shrinkTo(f, targets[name]); err != nil {
+	for _, f := range ctl.fns {
+		if target := targets[f.Spec.Name]; target < int64(f.Desired)*f.Spec.CPUMillis {
+			if err := ctl.shrinkTo(f, target); err != nil {
 				return err
 			}
 		}
 	}
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
-		desired := int64(f.Desired) * f.Spec.CPUMillis
-		if targets[name] < desired {
-			if err := ctl.growTo(f, targets[name]); err != nil {
+	for _, f := range ctl.fns {
+		target := targets[f.Spec.Name]
+		if target < int64(f.Desired)*f.Spec.CPUMillis {
+			if err := ctl.growTo(f, target); err != nil {
 				return err
 			}
 			continue
 		}
 		want := f.Desired
-		if w := int(targets[name] / f.Spec.CPUMillis); w > want {
+		if w := int(target / f.Spec.CPUMillis); w > want {
 			want = w // pre-provision toward the granted container count
 		}
 		if err := ctl.reconcileNormal(f, want); err != nil {
@@ -856,8 +852,8 @@ func (ctl *Controller) enforceGrants(demands []fairshare.Demand) error {
 // users it builds the two-level tree of §5; otherwise a flat adjustment.
 func (ctl *Controller) fairShares(demands []fairshare.Demand, capacity int64) (map[string]int64, error) {
 	hierarchical := false
-	for _, name := range ctl.order {
-		if ctl.funcs[name].User != "" {
+	for _, f := range ctl.fns {
+		if f.User != "" {
 			hierarchical = true
 			break
 		}
@@ -886,8 +882,7 @@ func (ctl *Controller) fairShares(demands []fairshare.Demand, capacity int64) (m
 	for _, d := range demands {
 		demandOf[d.ID] = d.Desired
 	}
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
+	for _, f := range ctl.fns {
 		user := f.User
 		if user == "" {
 			user = "::default"
@@ -903,9 +898,9 @@ func (ctl *Controller) fairShares(demands []fairshare.Demand, capacity int64) (m
 			root.Children = append(root.Children, un)
 		}
 		un.Children = append(un.Children, &fairshare.Node{
-			ID:      name,
+			ID:      f.Spec.Name,
 			Weight:  f.Weight,
-			Desired: demandOf[name],
+			Desired: demandOf[f.Spec.Name],
 		})
 	}
 	return fairshare.AllocateTree(root, capacity, !ctl.cfg.UncappedFairShare)
@@ -913,8 +908,8 @@ func (ctl *Controller) fairShares(demands []fairshare.Demand, capacity int64) (m
 
 // expireDrained terminates Draining containers older than DrainTTL.
 func (ctl *Controller) expireDrained(now time.Duration) {
-	for _, name := range ctl.order {
-		for _, c := range ctl.drainingContainers(name) {
+	for _, f := range ctl.fns {
+		for _, c := range ctl.drainingContainers(f.Spec.Name) {
 			at, ok := ctl.drained[c.ID]
 			if ok && now-at >= ctl.cfg.DrainTTL {
 				ctl.terminate(c)
@@ -979,8 +974,8 @@ func (ctl *Controller) reclaimDrainedFor(cpu, mem int64) bool {
 		at time.Duration
 	}
 	var cands []cand
-	for _, name := range ctl.order {
-		for _, c := range ctl.drainingContainers(name) {
+	for _, f := range ctl.fns {
+		for _, c := range ctl.drainingContainers(f.Spec.Name) {
 			cands = append(cands, cand{c, ctl.drained[c.ID]})
 		}
 	}

@@ -27,6 +27,15 @@ func DefaultDualWindow() DualWindowConfig {
 
 // DualWindow estimates a function's arrival rate from per-second arrival
 // counts kept in a ring buffer covering the long window.
+//
+// The short and long windows are kept as running sums over a fixed span of
+// completed seconds: advance adds each second as it completes and
+// subtracts the second that leaves the span, so Rate costs O(1) however
+// long the window. Counts are integers held in float64, so the sums are
+// exact in any order and equal the walk over the ring bit for bit. Seconds
+// before the first observation hold no arrivals, so early in a run the
+// sum over the full span equals the sum over the seconds observed so far;
+// only the divisor shrinks (see Rate).
 type DualWindow struct {
 	cfg     DualWindowConfig
 	buckets []float64
@@ -34,6 +43,10 @@ type DualWindow struct {
 	headPos int
 	started bool
 	first   int64 // absolute second of the first recorded/observed instant
+
+	shortSecs, longSecs int     // whole seconds in each window (the rate divisors)
+	shortSpan, longSpan int     // completed seconds each running sum covers
+	shortSum, longSum   float64 // arrivals in the last shortSpan/longSpan completed seconds
 }
 
 // NewDualWindow builds the estimator.
@@ -48,13 +61,25 @@ func NewDualWindow(cfg DualWindowConfig) (*DualWindow, error) {
 	if cfg.Long%time.Second != 0 {
 		n++
 	}
-	return &DualWindow{cfg: cfg, buckets: make([]float64, n)}, nil
+	d := &DualWindow{
+		cfg:       cfg,
+		buckets:   make([]float64, n),
+		shortSecs: int(cfg.Short / time.Second),
+		longSecs:  int(cfg.Long / time.Second),
+	}
+	// The ring holds the filling second plus n-1 completed ones, so a sum
+	// spans at most n-1 seconds. With a whole-second Long that is one
+	// second short of the long-window divisor (see
+	// TestDualWindowLongWindowSpan).
+	d.shortSpan = min(d.shortSecs, n-1)
+	d.longSpan = min(d.longSecs, n-1)
+	return d, nil
 }
 
 func secOf(t time.Duration) int64 { return int64(t / time.Second) }
 
 // advance rolls the ring forward to the bucket containing now, zeroing
-// skipped seconds.
+// skipped seconds and moving the running sums along with it.
 func (d *DualWindow) advance(now time.Duration) {
 	sec := secOf(now)
 	if !d.started {
@@ -63,9 +88,17 @@ func (d *DualWindow) advance(now time.Duration) {
 		d.head = sec
 		return
 	}
+	n := len(d.buckets)
 	for d.head < sec {
+		// The filling second completes and enters both spans; the second
+		// one span-length before it leaves. Both are still in the ring:
+		// spans are at most n-1 and the slot about to be reused holds the
+		// second n-1 back.
+		done := d.buckets[d.headPos]
+		d.shortSum += done - d.buckets[(d.headPos-d.shortSpan+n)%n]
+		d.longSum += done - d.buckets[(d.headPos-d.longSpan+n)%n]
 		d.head++
-		d.headPos = (d.headPos + 1) % len(d.buckets)
+		d.headPos = (d.headPos + 1) % n
 		d.buckets[d.headPos] = 0
 	}
 }
@@ -77,31 +110,11 @@ func (d *DualWindow) RecordArrival(now time.Duration) {
 	d.buckets[d.headPos]++
 }
 
-// sumCompleted sums the n most recent *complete* seconds of counts,
-// excluding the currently-filling second: including a just-started bucket
-// would dilute the rate by a partial interval.
-func (d *DualWindow) sumCompleted(n int) float64 {
-	if n > len(d.buckets)-1 {
-		n = len(d.buckets) - 1
-	}
-	var s float64
-	pos := d.headPos - 1
-	if pos < 0 {
-		pos = len(d.buckets) - 1
-	}
-	for i := 0; i < n; i++ {
-		s += d.buckets[pos]
-		pos--
-		if pos < 0 {
-			pos = len(d.buckets) - 1
-		}
-	}
-	return s
-}
-
 // Rate returns the estimated arrival rate (req/s) at time now and whether
-// the short window detected a burst. Early in a run, windows are scaled to
-// the observed duration so the estimate is not diluted by empty history.
+// the short window detected a burst. Only complete seconds count: a
+// just-started bucket would dilute the rate by a partial interval. Early
+// in a run, windows are scaled to the observed duration so the estimate is
+// not diluted by empty history.
 func (d *DualWindow) Rate(now time.Duration) (rate float64, burst bool) {
 	d.advance(now)
 	completed := d.head - d.first // whole seconds observed before the current one
@@ -109,18 +122,10 @@ func (d *DualWindow) Rate(now time.Duration) (rate float64, burst bool) {
 		// Sub-second history: the current bucket is all there is.
 		return d.buckets[d.headPos], false
 	}
-	shortSecs := int(d.cfg.Short / time.Second)
-	longSecs := int(d.cfg.Long / time.Second)
-	effShort := shortSecs
-	if int64(effShort) > completed {
-		effShort = int(completed)
-	}
-	effLong := longSecs
-	if int64(effLong) > completed {
-		effLong = int(completed)
-	}
-	shortRate := d.sumCompleted(effShort) / float64(effShort)
-	longRate := d.sumCompleted(effLong) / float64(effLong)
+	effShort := min(int64(d.shortSecs), completed)
+	effLong := min(int64(d.longSecs), completed)
+	shortRate := d.shortSum / float64(effShort)
+	longRate := d.longSum / float64(effLong)
 	if longRate > 0 && shortRate >= d.cfg.BurstFactor*longRate {
 		return shortRate, true
 	}

@@ -98,10 +98,17 @@ type Platform struct {
 
 	cfg     Config
 	rng     *xrand.Rand
-	results map[string]*FunctionResult
+	funcs   []platformFunc // registration order
 	utilTWA *metrics.TimeWeightedAverage
 	utilTS  *metrics.Series
 	runErr  error
+}
+
+// platformFunc is one registered function's controller state and the
+// results the platform collects for it.
+type platformFunc struct {
+	ctl *controller.Function
+	res *FunctionResult
 }
 
 // New assembles a platform from the configuration.
@@ -120,7 +127,6 @@ func New(cfg Config) (*Platform, error) {
 		Queues:  make(map[string]*dispatch.Queue),
 		cfg:     cfg,
 		rng:     xrand.New(cfg.Seed ^ 0x1a55),
-		results: make(map[string]*FunctionResult),
 		utilTWA: metrics.NewTimeWeightedAverage(),
 		utilTS:  metrics.NewSeries("utilization"),
 	}
@@ -171,13 +177,13 @@ func New(cfg Config) (*Platform, error) {
 		}
 		q.TimeLimit = fc.TimeLimit
 		p.Queues[fc.Spec.Name] = q
-		p.results[fc.Spec.Name] = &FunctionResult{
+		p.funcs = append(p.funcs, platformFunc{ctl: f, res: &FunctionResult{
 			Name:       fc.Spec.Name,
 			Containers: metrics.NewSeries(fc.Spec.Name + "/containers"),
 			CPU:        metrics.NewSeries(fc.Spec.Name + "/cpu"),
 			LambdaHat:  metrics.NewSeries(fc.Spec.Name + "/lambda"),
 			Desired:    metrics.NewSeries(fc.Spec.Name + "/desired"),
-		}
+		}})
 	}
 	// Prewarm pools before the run starts.
 	for _, fc := range cfg.Functions {
@@ -265,7 +271,7 @@ func (s *arrivalStream) armNext() {
 }
 
 // startArrivals launches the Poisson arrival stream for one function.
-func (p *Platform) startArrivals(fc FunctionConfig) {
+func (p *Platform) startArrivals(fc FunctionConfig, res *FunctionResult) {
 	if fc.Workload == nil {
 		return
 	}
@@ -274,7 +280,7 @@ func (p *Platform) startArrivals(fc FunctionConfig) {
 		p:    p,
 		arr:  workload.NewArrivals(fc.Workload, p.rng.Fork()),
 		name: name,
-		res:  p.results[name],
+		res:  res,
 		q:    p.Queues[name],
 	}
 	s.fireFn = s.fire
@@ -291,23 +297,19 @@ func (p *Platform) record() {
 	util := p.Cluster.CPUUtilization()
 	p.utilTWA.Set(now, util)
 	p.utilTS.Record(now, util)
-	for name, res := range p.results {
+	for _, pf := range p.funcs {
 		live := 0
 		var cpu int64
-		// Count and sum are order-independent, so the unordered
-		// allocation-free walk is safe here.
-		p.Cluster.EachContainerOf(name, func(c *cluster.Container) {
+		p.Cluster.EachContainerOf(pf.res.Name, func(c *cluster.Container) {
 			if c.State() == cluster.Starting || c.State() == cluster.Running {
 				live++
 				cpu += c.CPUCurrent
 			}
 		})
-		res.Containers.Record(now, float64(live))
-		res.CPU.Record(now, float64(cpu))
-		if f, ok := p.Controller.Function(name); ok {
-			res.LambdaHat.Record(now, f.LambdaHat)
-			res.Desired.Record(now, float64(f.Desired))
-		}
+		pf.res.Containers.Record(now, float64(live))
+		pf.res.CPU.Record(now, float64(cpu))
+		pf.res.LambdaHat.Record(now, pf.ctl.LambdaHat)
+		pf.res.Desired.Record(now, float64(pf.ctl.Desired))
 	}
 }
 
@@ -316,8 +318,8 @@ func (p *Platform) record() {
 // Run; the federation layer Starts each edge-site platform on a shared
 // engine, drives the engine itself, and then Collects per-site results.
 func (p *Platform) Start() {
-	for _, fc := range p.cfg.Functions {
-		p.startArrivals(fc)
+	for i, fc := range p.cfg.Functions {
+		p.startArrivals(fc, p.funcs[i].res)
 	}
 	if !p.cfg.DisableController {
 		interval := p.Controller.Config().EvalInterval
@@ -355,14 +357,15 @@ func (p *Platform) Collect(duration time.Duration) (*Result, error) {
 	p.record()
 	res := &Result{
 		Duration:       duration,
-		Functions:      make(map[string]*FunctionResult, len(p.results)),
+		Functions:      make(map[string]*FunctionResult, len(p.funcs)),
 		Utilization:    p.utilTWA.Mean(duration),
 		UtilizationTS:  p.utilTS,
 		ControllerOps:  p.Controller.Stats(),
 		LargestFreeEnd: p.Cluster.LargestFreeCPU(),
 	}
-	for name, r := range p.results {
-		q := p.Queues[name]
+	for _, pf := range p.funcs {
+		r := pf.res
+		q := p.Queues[r.Name]
 		r.Waits = q.Waits
 		r.Responses = q.Responses
 		r.SLO = q.SLO
@@ -371,7 +374,7 @@ func (p *Platform) Collect(duration time.Duration) (*Result, error) {
 		r.TimedOut = q.TimedOut()
 		r.Offloaded = q.Offloaded()
 		r.Rejected = q.Rejected()
-		res.Functions[name] = r
+		res.Functions[r.Name] = r
 	}
 	return res, nil
 }
